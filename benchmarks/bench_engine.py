@@ -10,9 +10,6 @@ Run:  pytest benchmarks/bench_engine.py --benchmark-only
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.sim.events import EventQueue
@@ -129,88 +126,3 @@ def test_trace_experiment_wall_time(benchmark):
     result = benchmark(run_trace_experiment, TraceConfig())
     assert result.startup_exit_time is not None
 
-
-# ----------------------------------------------------------------------
-# Sharded engine: cells per core
-#
-# Four leaf-disjoint clusters form four connected components, the
-# embarrassingly-parallel regime of the sharded engine.  The same plan
-# runs at 1, 2 and 4 shards; output is pinned byte-identical across
-# shard counts, and on machines with enough cores the 4-shard run must
-# finish at least twice as fast as the serial one.
-# ----------------------------------------------------------------------
-
-_SCALING_CACHE = {}
-
-
-def _scaling_plan():
-    plan = _SCALING_CACHE.get("plan")
-    if plan is None:
-        from repro.experiments.netgen import NetworkConfig
-        from repro.scenario.probes import GoodputProbe
-        from repro.scenario.spec import Scenario, plan_scenario
-        from repro.scenario.topology import GeneratedTopology
-        from repro.scenario.workloads import BulkWorkload
-        from repro.units import kib
-
-        scenario = Scenario(
-            topology=GeneratedTopology(
-                network=NetworkConfig(
-                    relay_count=16, client_count=8, server_count=8
-                ),
-                force_bottleneck=False,
-                clusters=4,
-            ),
-            workloads=(BulkWorkload(payload_bytes=kib(128)),),
-            probes=(GoodputProbe(interval=0.5),),
-            circuit_count=16,
-            max_sim_time=90.0,
-            seed=13,
-        )
-        plan = _SCALING_CACHE["plan"] = plan_scenario(scenario)
-    return plan
-
-
-def _run_scaling(shards):
-    from repro.scenario.sharded import run_sharded
-
-    return json.dumps(run_sharded(_scaling_plan(), shards=shards).to_dict(),
-                      sort_keys=True)
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_cells_per_core(benchmark, shards):
-    """Run the 4-component scenario at a fixed shard count."""
-    from repro.scenario.sharded import partition_plan
-
-    assert len(partition_plan(_scaling_plan())) == 4
-    output = benchmark(_run_scaling, shards)
-    reference = _SCALING_CACHE.setdefault("reference", output)
-    assert output == reference  # byte-identical at every shard count
-
-
-def test_sharded_scaling_speedup():
-    """4 shards over 4 components must be >= 2x faster than serial.
-
-    Only measurable where the pool can actually spread: on fewer than
-    four cores the workers time-slice one CPU and the comparison says
-    nothing about the engine, so the check is skipped.
-    """
-    import time
-
-    if (os.cpu_count() or 1) < 4:
-        pytest.skip("needs >= 4 cores to observe parallel speedup")
-
-    _run_scaling(1)  # warm the plan and code paths
-    t0 = time.perf_counter()
-    serial = _run_scaling(1)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = _run_scaling(4)
-    parallel_s = time.perf_counter() - t0
-
-    assert parallel == serial  # byte-identical regardless of timing
-    assert serial_s >= 2.0 * parallel_s, (
-        f"expected >= 2x speedup at 4 shards: "
-        f"serial {serial_s:.2f}s vs parallel {parallel_s:.2f}s"
-    )

@@ -1,6 +1,5 @@
 """Measurement and modelling: traces, CDFs, the optimal-window baseline."""
 
-from .convergence import convergence_time, settled_error, time_in_band
 from .optimal_window import (
     HopLink,
     OptimalWindow,
@@ -29,15 +28,12 @@ __all__ = [
     "backpropagated_window",
     "bottleneck_rate",
     "cdf_horizontal_gap",
-    "convergence_time",
     "hop_loop_delay",
     "jain_fairness_index",
     "optimal_windows",
     "resample_step",
-    "settled_error",
     "source_optimal_window",
     "stochastic_dominance_fraction",
     "step_value_at",
     "summarize",
-    "time_in_band",
 ]

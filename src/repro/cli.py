@@ -15,10 +15,9 @@ On top of the generated subcommands:
 * ``repro batch specs.json`` — run a JSON job file as a (parallel) sweep;
 * ``repro batch --plan``     — validate the file *and* print per-job
   estimated cost (cells × hops) plus sweep totals, without running;
-* ``repro batch --dry-run``  — validate every job (including execution
-  knobs like ``--shards`` against each target experiment) and report
-  per-job checkpoint keys, so a bad sweep file fails before any
-  simulation starts;
+* ``repro batch --dry-run``  — validate every job and report per-job
+  checkpoint keys, so a bad sweep file fails before any simulation
+  starts;
 * ``repro serve specs.json --checkpoint DIR`` — run a sweep as a
   crash-resumable service: per-job results checkpoint to DIR as they
   finish, progress streams to stderr, and a partial snapshot lands in
@@ -87,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument("--workers", type=int, default=1,
                              help="worker processes (default 1: serial)")
-        command.add_argument("--shards", type=int, default=None, metavar="N",
-                             help="execution knob passed to every job: run "
-                                  "scenario-backed experiments on the "
-                                  "sharded engine with up to N shards "
-                                  "(output is byte-identical to the "
-                                  "classic engine)")
         command.add_argument("--base-seed", type=int, default=None,
                              help="deterministically re-seed seeded specs "
                                   "per job")
@@ -123,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_arguments(batch, progress_default="none")
     batch.add_argument("--dry-run", action="store_true",
                        help="validate the spec file (decode every job, "
-                            "check execution knobs like --shards against "
-                            "each experiment, report per-job checkpoint "
-                            "keys) without running anything")
+                            "report per-job checkpoint keys) without "
+                            "running anything")
     batch.add_argument("--plan", action="store_true",
                        help="like --dry-run, plus per-job estimated cost "
                             "(cells × hops) and sweep totals, so big "
@@ -412,9 +404,6 @@ def _run_sweep(args: argparse.Namespace, data: list,
         result = run_batch(data, workers=args.workers,
                            base_seed=args.base_seed,
                            plan_cache_dir=resolve_cache_dir(args.plan_cache),
-                           execution=(
-                               {"shards": args.shards} if args.shards else None
-                           ),
                            checkpoint_dir=checkpoint_dir,
                            resume=resume,
                            on_item=on_item if streaming else None)
@@ -482,7 +471,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.dry_run or args.plan:
         return _dry_run_batch(
             args.specs, data, plan=args.plan, base_seed=args.base_seed,
-            execution={"shards": args.shards} if args.shards else None,
         )
     from .jobs.store import resolve_checkpoint_dir
 
@@ -524,17 +512,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _dry_run_batch(path: str, jobs: list, plan: bool = False,
-                   base_seed: Optional[int] = None,
-                   execution: Optional[dict] = None) -> int:
+                   base_seed: Optional[int] = None) -> int:
     """Validate every job of a batch file without running anything.
 
     Decoding a job exercises the full spec path — experiment lookup in
     the registry, field-name checking and type-driven reconstruction —
     so a passing dry run means ``repro batch`` will accept the file.
-    Execution knobs (``--shards``) are checked against each job's
-    target experiment: a knob the experiment's spec does not carry is a
-    validation error here instead of a silent no-op at run time.  Every
-    valid job reports its checkpoint key — computed from the same
+    Every valid job reports its checkpoint key — computed from the same
     seeded, encoded spec the runtime hashes (*base_seed* included), so
     the printed keys match what ``repro serve`` will write under
     ``results/``.  With *plan*, each valid job additionally reports its
@@ -567,18 +551,6 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
             errors += 1
             print("job %d: %s" % (index, error), file=sys.stderr)
             continue
-        if execution:
-            unsupported = sorted(
-                knob for knob in execution if not hasattr(spec, knob)
-            )
-            if unsupported:
-                errors += 1
-                print("job %d: %s (%s) does not support execution "
-                      "knob(s): %s"
-                      % (index, job.experiment, type(spec).__name__,
-                         ", ".join(unsupported)),
-                      file=sys.stderr)
-                continue
         if base_seed is not None:
             spec = _seeded(spec, base_seed, index, job.experiment)
         key = job_key(job.experiment, encode(spec))

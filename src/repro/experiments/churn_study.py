@@ -126,7 +126,6 @@ class ChurnStudyConfig(ExperimentSpec):
         # Execution details, not dataclass fields: never serialized, so
         # parallel and serial sweeps emit byte-identical results.
         object.__setattr__(self, "workers", 1)
-        object.__setattr__(self, "shards", None)
 
     def with_workers(self, workers: int) -> "ChurnStudyConfig":
         """A copy of this config whose sweep runs over *workers* processes.
@@ -140,20 +139,6 @@ class ChurnStudyConfig(ExperimentSpec):
             raise ValueError("workers must be >= 1, got %r" % workers)
         clone = replace(self)
         object.__setattr__(clone, "workers", int(workers))
-        object.__setattr__(clone, "shards", getattr(self, "shards", None))
-        return clone
-
-    def with_shards(self, shards: Optional[int]) -> "ChurnStudyConfig":
-        """A copy whose points run on the sharded scenario engine.
-
-        Like ``workers``, an execution knob carried outside the
-        dataclass fields: each sweep point's netscale job runs with
-        ``shards`` coupled simulators, and the output stays
-        byte-identical to the classic engine at any value.
-        """
-        clone = replace(self)
-        object.__setattr__(clone, "workers", getattr(self, "workers", 1))
-        object.__setattr__(clone, "shards", shards)
         return clone
 
     def point_config(self, rate: float) -> NetScaleConfig:
@@ -421,12 +406,10 @@ class ChurnStudyExperiment(Experiment):
             # children, so the inner sweep degrades to serial.
             workers = 1
         disk = DEFAULT_CACHE.disk
-        shards = getattr(spec, "shards", None)
         batch = run_batch(
             jobs,
             workers=workers,
             plan_cache_dir=disk.directory if disk is not None else None,
-            execution={"shards": shards} if shards else None,
         )
         results = [item.result_object() for item in batch.items]
         study = _aggregate(spec, results)
@@ -469,11 +452,6 @@ class ChurnStudyExperiment(Experiment):
             help="run sweep points over N worker processes (output is "
                  "byte-identical to --workers 1)",
         )
-        parser.add_argument(
-            "--shards", type=int, default=None, metavar="N",
-            help="run each sweep point on the sharded scenario engine "
-                 "with up to N shards (output is byte-identical)",
-        )
 
     def spec_from_cli(self, args) -> ChurnStudyConfig:
         from .api import SpecError
@@ -500,9 +478,7 @@ class ChurnStudyExperiment(Experiment):
                     client_count=max(args.relays, 1),
                     server_count=max(args.relays, 1),
                 ),
-            ).with_workers(args.workers).with_shards(
-                getattr(args, "shards", None)
-            )
+            ).with_workers(args.workers)
         except ValueError as error:
             # Config validation (negative/duplicate rates, bad horizon,
             # workers < 1, ...) becomes a clean exit-2 message, not a

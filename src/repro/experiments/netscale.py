@@ -41,7 +41,7 @@ same paths, same workload mix, same start times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCdf, summarize
@@ -61,7 +61,6 @@ from ..scenario import (
     plan_scenario,
     run_scenario,
 )
-from ..scenario.sharded import run_scenario_sharded
 from ..scenario.cache import DEFAULT_CACHE
 from ..sim.rand import RandomStreams
 from ..transport.config import TransportConfig
@@ -121,10 +120,9 @@ class NetScaleConfig(ExperimentSpec):
     #: Instrumentation sampled while the scenario runs.
     probes: Tuple[Probe, ...] = ()
     #: Partition relays/endpoints into disjoint clusters (circuit *i*
-    #: draws from cluster ``i % clusters``).  With the forced bottleneck
-    #: the clusters still couple through it — the sharded engine's
-    #: epoch-barrier shape; this *does* change the planned paths (and
-    #: the result), unlike ``shards``.
+    #: draws from cluster ``i % clusters``).  The forced bottleneck
+    #: relay is still shared by every cluster.  This changes the
+    #: planned paths, and so the result.
     clusters: int = 1
 
     def __post_init__(self) -> None:
@@ -145,20 +143,6 @@ class NetScaleConfig(ExperimentSpec):
                 "%d relays cannot form %d-hop paths"
                 % (self.network.relay_count, self.hops)
             )
-        # Execution knob, not a spec field: how many shards (worker
-        # processes / coupled simulators) the scenario engine may use.
-        # Deliberately excluded from serialization and the spec hash —
-        # the result is byte-identical at any shard count, so sharding
-        # must not split the plan-cache key space or the output.
-        object.__setattr__(self, "shards", None)
-
-    def with_shards(self, shards: Optional[int]) -> "NetScaleConfig":
-        """A copy of this config carrying the ``shards`` execution knob."""
-        clone = NetScaleConfig(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-        object.__setattr__(clone, "shards", shards)
-        return clone
 
     def interactive_workload(self) -> InteractiveWorkload:
         """The stream-backed interactive class for this config.
@@ -363,13 +347,7 @@ class NetScaleExperiment(Experiment):
     result_type = NetScaleResult
 
     def run(self, spec: NetScaleConfig) -> NetScaleResult:
-        shards = getattr(spec, "shards", None)
-        if shards is not None and shards > 1:
-            result = run_scenario_sharded(
-                spec.to_scenario(), cache=DEFAULT_CACHE, shards=shards
-            )
-        else:
-            result = run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
+        result = run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
         return _to_netscale_result(spec, result)
 
     def estimate_cost(self, spec: NetScaleConfig) -> Dict[str, int]:
@@ -399,15 +377,9 @@ class NetScaleExperiment(Experiment):
                  "(with --churn; default 0.25)",
         )
         parser.add_argument(
-            "--shards", type=int, default=None, metavar="N",
-            help="run the scenario on the sharded engine with up to N "
-                 "shards (execution knob: output is byte-identical to "
-                 "the classic engine)",
-        )
-        parser.add_argument(
             "--clusters", type=int, default=1, metavar="K",
             help="partition relays/endpoints into K disjoint clusters "
-                 "(changes path planning, unlike --shards)",
+                 "(changes path planning)",
         )
 
     def spec_from_cli(self, args) -> NetScaleConfig:
@@ -420,7 +392,7 @@ class NetScaleExperiment(Experiment):
                 horizon=args.churn_horizon,
             )
             probes = (UtilizationProbe(interval=args.probe_interval),)
-        spec = NetScaleConfig(
+        return NetScaleConfig(
             circuit_count=args.circuits,
             bulk_fraction=args.bulk_fraction,
             bulk_payload_bytes=kib(args.bulk_payload_kib),
@@ -434,8 +406,6 @@ class NetScaleExperiment(Experiment):
             probes=probes,
             clusters=getattr(args, "clusters", 1),
         )
-        shards = getattr(args, "shards", None)
-        return spec.with_shards(shards) if shards else spec
 
     def render(self, result: NetScaleResult) -> str:
         from ..report import format_table

@@ -227,7 +227,6 @@ def run_batch(
     workers: Optional[int] = None,
     base_seed: Optional[int] = None,
     plan_cache_dir: Optional[str] = None,
-    execution: Optional[Dict[str, Any]] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     on_item: Optional[Callable[[BatchItem, int, int, str], None]] = None,
@@ -255,12 +254,6 @@ def run_batch(
         plans and generated networks are shared across processes and
         across repeated sweeps.  Purely a speedup: the structured
         output stays byte-identical with or without it.
-    execution:
-        Execution knobs applied to every job's decoded spec as
-        *non-field* attributes (e.g. ``{"shards": 4}`` for experiments
-        with a sharded engine path).  Knobs change how jobs execute,
-        not their output — they never enter ``BatchItem.spec``, any
-        serialized result, or the checkpoint keys.
     checkpoint_dir:
         When given, every completed job's result is checkpointed under
         this directory as it finishes (:class:`repro.jobs.JobStore`),
@@ -290,7 +283,7 @@ def run_batch(
         ]
     encoded = [encode(spec) for spec in specs]
     payloads = [
-        (job.experiment, spec_data, execution)
+        (job.experiment, spec_data)
         for job, spec_data in zip(normalized, encoded)
     ]
 

@@ -117,14 +117,6 @@ class Interface:
         self._busy = False
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: Optional capture hook for sharded execution: called as
-        #: ``on_serialize(packet, arrival_time)`` when serialization of
-        #: *packet* begins, where *arrival_time* is the absolute
-        #: simulated time the packet would reach the peer.  Returning
-        #: ``True`` claims the packet — the local delivery event is not
-        #: scheduled (the captor delivers it, e.g. in another shard's
-        #: simulator).  The transmitter still frees up normally.
-        self.on_serialize = None
         #: Optional :class:`~repro.net.faults.FaultModel` filtering every
         #: transmission: its verdict drops the packet or adds delivery
         #: delay.  ``None`` (the default) keeps the fast path untouched.
@@ -184,30 +176,16 @@ class Interface:
         # link the packet traverses.  The Tor layer uses it to issue
         # feedback at the moment a cell is *actually forwarded* onto
         # the wire (queueing in this interface included), which is the
-        # paper's feedback semantics.  The slotted hook is the fast
-        # path; a hook stashed under metadata["on_tx_start"] (the
-        # pre-slot spelling) still works for ad-hoc tracing.
+        # paper's feedback semantics.
         hook = packet.on_tx_start
         if hook is not None:
             packet.on_tx_start = None
             hook(packet.on_tx_start_arg)
-        elif packet._trace is not None:
-            legacy = packet._trace.pop("on_tx_start", None)
-            if legacy is not None:
-                legacy()
         # The transmitter frees up when serialization completes; the
         # packet arrives one propagation delay later.  Neither event is
         # ever cancelled, so both take the handle-free fast path.
         sim = self._sim
         sim.schedule_fast(tx_time, self._on_tx_complete)
-        # Parenthesized exactly like the schedule_fast offset below, so
-        # a captured packet's arrival time is bit-identical to the
-        # delivery time the suppressed local event would have had.
-        capture = self.on_serialize
-        if capture is not None and capture(
-            packet, sim.now + (tx_time + link.delay)
-        ):
-            return
         fault = self.fault_model
         if fault is not None:
             verdict = fault.on_transmit(packet)

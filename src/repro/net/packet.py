@@ -9,7 +9,8 @@ The per-packet state the forwarding path actually reads is slotted
 (:attr:`Packet.hops`, :attr:`Packet.on_tx_start`) so that moving a cell
 across a link allocates no dictionaries.  A metadata dict for ad-hoc
 tracing still exists — mirroring how nstor attaches ns-3 tags — but is
-created lazily on first access and never influences forwarding.
+created lazily on first access and never influences forwarding: the
+slotted :attr:`Packet.on_tx_start` is the only serialization hook.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class Packet:
         self.created_at = created_at
         #: Number of links traversed so far (slotted; see hop_count()).
         self.hops = 0
-        #: One-shot hook fired when serialization begins at the first
+        #: One-shot hook fired when serialization begins at the next
         #: link this packet traverses; called as ``on_tx_start(arg)``
-        #: with :attr:`on_tx_start_arg`.  Slotted so the Tor feedback
-        #: path needs no per-cell closure or dict entry.
+        #: with :attr:`on_tx_start_arg`.  The link clears the slot
+        #: before the call, so the hook fires once.  Slotted so the Tor
+        #: feedback path needs no per-cell closure or dict entry.
         self.on_tx_start: Optional[Callable[[Any], None]] = None
         self.on_tx_start_arg: Any = None
         self._trace: Optional[Dict[str, Any]] = None

@@ -329,12 +329,7 @@ def build_circuit_run(
     sim: Simulator,
     network: GeneratedNetwork,
 ) -> WorkloadRun:
-    """Instantiate one planned circuit and attach its workload.
-
-    Shared by the classic single-simulator engine and the sharded
-    engine (:mod:`repro.scenario.sharded`): both must build byte-
-    identical circuits from the same plan row.
-    """
+    """Instantiate one planned circuit and attach its workload."""
     workload = scenario.workloads[planned.workload]
     spec = CircuitSpec(
         circuit_id=planned.index + 1,

@@ -17,6 +17,7 @@ from repro.experiments.netscale import (
     run_netscale_experiment,
     select_netscale_paths,
 )
+from repro.scenario import plan_scenario
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.units import kib
@@ -239,3 +240,31 @@ def test_render_with_single_workload_class():
     text = get_experiment("netscale").render(result)
     assert BULK in text
     assert "median TTLB improvement" in text
+
+
+def test_netscale_clusters_field_plans_disjoint_paths():
+    clusters = 2
+    spec = NetScaleConfig(
+        circuit_count=6,
+        bulk_payload_bytes=kib(60),
+        interactive_payload_bytes=kib(10),
+        seed=5,
+        clusters=clusters,
+        network=NetworkConfig(relay_count=12, client_count=6, server_count=6),
+    )
+    plan = plan_scenario(spec.to_scenario())
+    bottleneck = plan.bottleneck_relay
+    names = plan.network.relay_names
+    pools = [set(names[cluster::clusters]) for cluster in range(clusters)]
+    used = [set() for __ in range(clusters)]
+    for circuit in plan.circuits:
+        cluster = circuit.index % clusters
+        # The forced bottleneck sits in every path; every other relay
+        # comes from the circuit's own cluster.
+        assert circuit.relays.count(bottleneck) == 1
+        others = set(circuit.relays) - {bottleneck}
+        assert others <= pools[cluster]
+        used[cluster] |= others
+    assert all(used)
+    # No relay but the bottleneck is shared between clusters.
+    assert not used[0] & used[1]

@@ -107,19 +107,6 @@ def test_dry_run_reports_runtime_matching_keys(tmp_path, capsys):
         assert job_key(job["experiment"], encode(spec)) in stored
 
 
-def test_dry_run_rejects_unsupported_execution_knobs(tmp_path, capsys):
-    path = _write_specs(tmp_path, [
-        {"experiment": "optimal"},
-        {"experiment": "netscale", "spec": {"circuit_count": 5}},
-    ])
-    assert main(["batch", path, "--dry-run", "--shards", "4"]) == 2
-    captured = capsys.readouterr()
-    assert ("optimal (OptimalConfig) does not support execution knob(s): "
-            "shards") in captured.err
-    assert "job 1: netscale" in captured.out  # netscale has the knob
-    assert "1 of 2 jobs invalid" in captured.err
-
-
 def test_dry_run_keys_include_base_seed(tmp_path, capsys):
     jobs = [{"experiment": "test-fuse", "spec": {"value": 1}}]
     path = _write_specs(tmp_path, jobs)

@@ -372,16 +372,6 @@ def test_fault_free_result_keeps_pre_fault_shape():
     assert result.transport_counters == {}
 
 
-def test_sharded_faulted_run_matches_classic_engine():
-    from repro.scenario.sharded import run_sharded
-
-    plan = plan_scenario(faulted_scenario())
-    classic = json.dumps(run_planned(plan).to_dict(), sort_keys=True)
-    sharded = json.dumps(run_sharded(plan, shards=4).to_dict(),
-                         sort_keys=True)
-    assert classic == sharded
-
-
 # ----------------------------------------------------------------------
 # Replayability: cached-plan reruns are byte-identical
 # ----------------------------------------------------------------------
